@@ -12,8 +12,8 @@
 //!
 //! Every metric here must be a pure function of the source tree — no wall
 //! clock, no ambient randomness (seeds are fixed, explorers run single
-//! worker). Wall-clock performance is tracked by the [`crate::harness`]
-//! benches instead, which are too noisy to gate on.
+//! worker). Wall-clock performance is measured by the repo benchmark in
+//! `perfbench/` instead, which compares repeated runs against their spread.
 //!
 //! The `e18_*` timings and `e19_timer_ns_per_op` are the deliberate
 //! exception: they time the scheduler pick path (the target of the
@@ -295,7 +295,7 @@ pub fn collect_metrics(inject_regression_pct: Option<f64>) -> Vec<Metric> {
 /// the release gate compares against the *committed* baseline file, which
 /// trips on any cross-process drift.
 fn e17_metrics() -> &'static [Metric; 3] {
-    use co_core::runner;
+    use co_core::runner::{self, RunOptions};
     use co_net::{RingSpec, SchedulerKind};
     use std::sync::OnceLock;
 
@@ -308,13 +308,11 @@ fn e17_metrics() -> &'static [Metric; 3] {
             .into_iter()
             .enumerate()
         {
-            let out = runner::run_alg2_scaled(
-                &spec1000,
-                SchedulerKind::Fifo,
-                0,
+            let opts = RunOptions {
                 backend,
-                co_net::Budget::default(),
-            );
+                ..RunOptions::new(SchedulerKind::Fifo, 0)
+            };
+            let out = runner::run_alg2_with(&spec1000, &opts);
             peaks[slot] = out.peak_queue_bytes;
             steps = out.report.steps;
         }
@@ -354,7 +352,7 @@ fn e17_metrics() -> &'static [Metric; 3] {
 /// the committed baseline ever sees cross-run timing variance — absorbed
 /// by the 400% tolerance.
 fn e18_metrics() -> &'static [Metric; 3] {
-    use co_core::runner;
+    use co_core::runner::{self, RunOptions};
     use co_net::sched::{FifoScheduler, LongestQueueScheduler};
     use co_net::{
         Budget, ChannelId, ChannelView, QueueBackend, RingSpec, Scheduler, SchedulerKind,
@@ -400,13 +398,12 @@ fn e18_metrics() -> &'static [Metric; 3] {
         let spec5k = RingSpec::oriented((1..=5000u64).collect::<Vec<u64>>());
         let start = Instant::now();
         for kind in SchedulerKind::ALL {
-            let out = runner::run_alg2_scaled(
-                &spec5k,
-                kind,
-                0,
-                QueueBackend::Counter,
-                Budget::steps(100_000),
-            );
+            let opts = RunOptions {
+                backend: QueueBackend::Counter,
+                budget: Budget::steps(100_000),
+                ..RunOptions::new(kind, 0)
+            };
+            let out = runner::run_alg2_with(&spec5k, &opts);
             assert_eq!(out.report.steps, 100_000, "budget-capped cell under {kind}");
         }
         let matrix_ms = start.elapsed().as_millis() as f64;

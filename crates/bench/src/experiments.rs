@@ -1423,6 +1423,7 @@ pub fn e17_scaling() -> Table {
 /// way, only wall-clock moves.
 #[must_use]
 pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
+    use co_core::runner::{RunOptions, RunOutput};
     use co_net::{Context, Port, Pulse, QueueBackend};
     use std::time::Instant;
 
@@ -1536,22 +1537,22 @@ pub fn e17_scaling_jobs(jobs: usize, batch: bool) -> Table {
     let results = crate::parallel::par_map(&cells, jobs, |&(n, alg, backend)| {
         let spec = RingSpec::oriented((1..=n as u64).collect());
         let start = Instant::now();
+        let opts = RunOptions {
+            batch,
+            backend,
+            budget,
+            ..RunOptions::new(SchedulerKind::Fifo, 0)
+        };
         let out = match alg {
-            "alg1" => {
-                runner::run_alg1_scaled_batch(&spec, SchedulerKind::Fifo, 0, backend, budget, batch)
+            "alg1" => runner::run_alg1_with(&spec, &opts),
+            "alg2" => runner::run_alg2_with(&spec, &opts),
+            _ => {
+                let out = runner::run_alg3_with(&spec, IdScheme::Improved, &opts);
+                RunOutput {
+                    report: out.report.report,
+                    peak_queue_bytes: out.peak_queue_bytes,
+                }
             }
-            "alg2" => {
-                runner::run_alg2_scaled_batch(&spec, SchedulerKind::Fifo, 0, backend, budget, batch)
-            }
-            _ => runner::run_alg3_scaled_batch(
-                &spec,
-                IdScheme::Improved,
-                SchedulerKind::Fifo,
-                0,
-                backend,
-                budget,
-                batch,
-            ),
         };
         let ms = start.elapsed().as_millis();
         (out, ms)
@@ -1673,6 +1674,7 @@ pub fn e18_sched_index() -> Table {
 /// byte-identical either way (see `tests/batch_equivalence.rs`).
 #[must_use]
 pub fn e18_sched_index_jobs(jobs: usize, batch: bool) -> Table {
+    use co_core::runner::RunOptions;
     use co_core::Alg2Node;
     use co_net::{prof, Pulse, QueueBackend};
     use std::time::Instant;
@@ -1756,14 +1758,13 @@ pub fn e18_sched_index_jobs(jobs: usize, batch: bool) -> Table {
     let kinds: Vec<SchedulerKind> = SchedulerKind::ALL.to_vec();
     let results = crate::parallel::par_map(&kinds, jobs, |&kind| {
         let start = Instant::now();
-        let out = runner::run_alg2_scaled_batch(
-            &spec5k,
-            kind,
-            0,
-            QueueBackend::Counter,
-            Budget::steps(CAP),
+        let opts = RunOptions {
             batch,
-        );
+            backend: QueueBackend::Counter,
+            budget: Budget::steps(CAP),
+            ..RunOptions::new(kind, 0)
+        };
+        let out = runner::run_alg2_with(&spec5k, &opts);
         (out.report.steps, start.elapsed().as_millis())
     });
     for (&kind, &(steps, ms)) in kinds.iter().zip(&results) {

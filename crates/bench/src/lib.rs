@@ -4,9 +4,9 @@
 //! (experiments E0–E22, indexed in `DESIGN.md` §5). Each experiment is a
 //! pure function returning a [`Table`]; the `tables` binary prints them
 //! (optionally fanning the catalogue across a worker pool, see
-//! [`parallel`]) and the [`harness`] benches measure the wall-clock cost of
-//! representative configurations. The [`check`] module is the benchmark
-//! regression gate CI runs against `bench_baseline.json`.
+//! [`parallel`]). The [`check`] module is the benchmark regression gate CI
+//! runs against `bench_baseline.json`; wall-clock throughput and latency
+//! are measured end to end by the repo benchmark in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +14,6 @@
 pub mod check;
 pub mod experiments;
 pub mod fleet;
-pub mod harness;
 pub mod parallel;
 pub mod registry;
 pub mod stats;

@@ -152,7 +152,8 @@ pub fn classic_entries() -> Vec<ProtocolSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use co_core::registry::{Capability, DriveOpts, Registry};
+    use co_core::registry::{Capability, Registry};
+    use co_core::runner::RunOptions;
     use co_net::{SchedulerKind, Simulation};
 
     fn classic_registry() -> Registry {
@@ -185,7 +186,7 @@ mod tests {
         let spec = RingSpec::oriented(vec![4, 9, 2, 7]);
         for entry in classic_registry().entries() {
             for kind in SchedulerKind::ALL {
-                let opts = DriveOpts::new(kind, 11);
+                let opts = RunOptions::new(kind, 11);
                 let rec = entry.record(&spec, &opts);
                 let rep = entry.replay(&spec, &opts, &rec.picks);
                 assert_eq!(rec.report, rep.report, "{} under {kind}", entry.name());

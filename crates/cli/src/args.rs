@@ -729,8 +729,9 @@ OPTIONS:
   --duration SECS     fleet: run whole rounds until SECS elapse
                       (overrides --rounds)
   --batch MODE        on|off: run-batched macro-stepping for
-                      elect/stabilize/record/replay/tables  (default off;
-                      replay defaults to the mode embedded in the recording)
+                      elect/stabilize/orient/record/replay/tables
+                      (default off; replay defaults to the mode embedded
+                      in the recording)
   --protocol P        record/replay/shrink/explore/fleet:
                       {protocols}
   --schedule S        replay: schedule from 'record' — channel picks,

@@ -6,8 +6,9 @@ use co_compose::pipeline::elect_then_ring_size;
 use co_core::anonymous::{success_rate, SamplingConfig};
 use co_core::election::ElectionReport;
 use co_core::lower_bound::solitude_pattern_alg2;
-use co_core::registry::{Capability, DriveOpts, RegistryError};
-use co_core::{runner, IdScheme, Role};
+use co_core::registry::{Capability, RegistryError};
+use co_core::runner::{self, RunOptions};
+use co_core::{IdScheme, Role};
 use co_json::{array, object, Value};
 use co_net::explore::{CheckpointPlan, ExploreCheckpoint, ExploreConfig, ExploreLimits};
 use co_net::{shrink_schedule, RingSpec, RunReport, Schedule, SchedulerKind};
@@ -144,12 +145,11 @@ fn registry_error(e: &RegistryError) -> CommandOutput {
     }
 }
 
-fn drive_opts(opts: &CommonOpts, batch: bool) -> DriveOpts {
-    DriveOpts {
-        scheduler: opts.scheduler,
-        seed: opts.seed,
+fn run_options(opts: &CommonOpts, batch: bool) -> RunOptions {
+    RunOptions {
         latency: opts.latency_plan(),
         batch,
+        ..RunOptions::new(opts.scheduler, opts.seed)
     }
 }
 
@@ -172,7 +172,7 @@ fn record(opts: &CommonOpts, protocol: ProtocolChoice) -> CommandOutput {
         }
     }
     let spec = RingSpec::oriented(opts.ids.clone());
-    let rec = protocol.spec().record(&spec, &drive_opts(opts, batch));
+    let rec = protocol.spec().record(&spec, &run_options(opts, batch));
     let schedule = RecordedSchedule {
         batch,
         picks: rec.picks,
@@ -243,7 +243,7 @@ fn replay(
     let spec = RingSpec::oriented(opts.ids.clone());
     let rep = protocol
         .spec()
-        .replay(&spec, &drive_opts(opts, schedule.batch), &schedule.picks);
+        .replay(&spec, &run_options(opts, schedule.batch), &schedule.picks);
     let text = format!(
         "replaying {} picks of {protocol} on {spec} ({} delivery, deterministic)\n\
          outcome: {} | deliveries: {} | pulses: {}\n\
@@ -617,13 +617,8 @@ fn fleet(
 
 fn elect(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg2_batch(
-        &spec,
-        opts.scheduler,
-        opts.seed,
-        &opts.latency_plan(),
-        opts.batch.unwrap_or(false),
-    );
+    let report =
+        runner::run_alg2_with(&spec, &run_options(opts, opts.batch.unwrap_or(false))).report;
     let text = format!(
         "Algorithm 2 on {spec} under {} (seed {})\noutcome: {}\n{}pulses: {} (Theorem 1 predicts {})\n",
         opts.scheduler,
@@ -638,13 +633,8 @@ fn elect(opts: &CommonOpts) -> CommandOutput {
 
 fn stabilize(opts: &CommonOpts) -> CommandOutput {
     let spec = RingSpec::oriented(opts.ids.clone());
-    let report = runner::run_alg1_batch(
-        &spec,
-        opts.scheduler,
-        opts.seed,
-        &opts.latency_plan(),
-        opts.batch.unwrap_or(false),
-    );
+    let report =
+        runner::run_alg1_with(&spec, &run_options(opts, opts.batch.unwrap_or(false))).report;
     let text = format!(
         "Algorithm 1 on {spec} under {} (seed {})\noutcome: {} (stabilizing: nodes never terminate)\n{}pulses: {} (Corollary 13 predicts {})\n",
         opts.scheduler,
@@ -662,7 +652,12 @@ fn orient(opts: &CommonOpts, scheme: IdScheme) -> CommandOutput {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let spec = RingSpec::random_flips(opts.ids.clone(), &mut rng);
-    let out = runner::run_alg3(&spec, scheme, opts.scheduler, opts.seed);
+    let out = runner::run_alg3_with(
+        &spec,
+        scheme,
+        &run_options(opts, opts.batch.unwrap_or(false)),
+    )
+    .report;
     let ports: String = out
         .cw_ports
         .iter()
@@ -1022,11 +1017,13 @@ mod tests {
     }
 
     #[test]
-    fn elect_batch_matches_per_pulse() {
-        let off = run_line(&["elect", "--ids", "3,9,5", "--seed", "4"]);
-        let on = run_line(&["elect", "--ids", "3,9,5", "--seed", "4", "--batch", "on"]);
-        assert_eq!(on.code, 0);
-        assert_eq!(off.json, on.json); // observational equivalence, byte for byte
+    fn election_commands_batch_matches_per_pulse() {
+        for cmd in ["elect", "stabilize", "orient"] {
+            let off = run_line(&[cmd, "--ids", "3,9,5", "--seed", "4"]);
+            let on = run_line(&[cmd, "--ids", "3,9,5", "--seed", "4", "--batch", "on"]);
+            assert_eq!(on.code, 0, "{cmd}");
+            assert_eq!(off.json, on.json, "{cmd}"); // observational equivalence, byte for byte
+        }
     }
 
     #[test]

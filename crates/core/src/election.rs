@@ -74,7 +74,7 @@ impl fmt::Display for ElectionError {
 impl std::error::Error for ElectionError {}
 
 /// Outcome of running one of the paper's election algorithms on a ring.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ElectionReport {
     /// How the simulation ended.
     pub outcome: Outcome,

@@ -41,12 +41,13 @@
 use crate::ablation::UngatedAlg2Node;
 use crate::election::Role;
 use crate::invariants::Alg2MonitorObserver;
+use crate::runner::{drive, RunOptions};
 use crate::{Alg1Node, Alg2Node, Alg3Node, IdScheme};
 use co_net::explore::{explore_parallel, ExploreConfig, ExploreReport};
 use co_net::fleet::{self, FleetConfig, FleetReport, FleetRingDetail, RingPlan};
 use co_net::{
-    Budget, LatencyPlan, Message, Port, Protocol, Pulse, RingSpec, RunReport, Schedule,
-    SchedulerKind, SimObserver, Simulation, Snapshot, StepInfo,
+    Budget, Message, Port, Protocol, Pulse, RingSpec, RunReport, Schedule, SchedulerKind,
+    SimObserver, Simulation, Snapshot, StepInfo,
 };
 use std::fmt;
 use std::ops::Range;
@@ -161,33 +162,6 @@ where
     }
 }
 
-/// Options shared by the `record`/`replay` drivers: scheduler, seed,
-/// latency plan and delivery mode.
-#[derive(Clone, Debug)]
-pub struct DriveOpts {
-    /// Delivery adversary (ignored by `replay`, which follows the picks).
-    pub scheduler: SchedulerKind,
-    /// Scheduler seed.
-    pub seed: u64,
-    /// Per-channel latency plan (replays must reuse the recording's plan).
-    pub latency: LatencyPlan,
-    /// Run-batched macro-stepping.
-    pub batch: bool,
-}
-
-impl DriveOpts {
-    /// Zero-latency per-pulse options under `scheduler` / `seed`.
-    #[must_use]
-    pub fn new(scheduler: SchedulerKind, seed: u64) -> DriveOpts {
-        DriveOpts {
-            scheduler,
-            seed,
-            latency: LatencyPlan::default(),
-            batch: false,
-        }
-    }
-}
-
 /// Outcome of a recorded run: the report, the replayable picks, the final
 /// configuration fingerprint and the elected leader positions.
 #[derive(Clone, Debug)]
@@ -215,23 +189,21 @@ pub struct Replayed {
     pub leaders: Vec<usize>,
 }
 
-type RecordFn = fn(&RingSpec, &DriveOpts) -> Recorded;
-type ReplayFn = fn(&RingSpec, &DriveOpts, &Schedule) -> Replayed;
+type RecordFn = fn(&RingSpec, &RunOptions) -> Recorded;
+type ReplayFn = fn(&RingSpec, &RunOptions, &Schedule) -> Replayed;
 type ExploreFn = fn(&RingSpec, &ExploreConfig) -> ExploreReport;
 type HuntFn = fn(&RingSpec, SchedulerKind, u64) -> Option<Schedule>;
 type ViolatesFn = fn(&RingSpec, &Schedule) -> bool;
 type FleetShardFn = fn(&FleetConfig, u64, Range<u64>) -> FleetReport;
 type FleetDetailFn = fn(&FleetConfig, u64, u64) -> FleetRingDetail;
 
-fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &DriveOpts) -> Recorded {
+fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &RunOptions) -> Recorded {
     let mut sim = Simulation::new(
         spec.wiring(),
         D::nodes(spec),
         opts.scheduler.build(opts.seed),
     );
-    sim.set_latency(opts.latency.clone());
-    sim.set_batch(opts.batch);
-    let (report, picks) = sim.run_recorded(Budget::default());
+    let (report, picks) = drive(&mut sim, opts.clone(), Simulation::run_recorded);
     Recorded {
         report,
         picks,
@@ -242,16 +214,16 @@ fn record_driver<D: RingProtocol>(spec: &RingSpec, opts: &DriveOpts) -> Recorded
 
 fn replay_driver<D: RingProtocol>(
     spec: &RingSpec,
-    opts: &DriveOpts,
+    opts: &RunOptions,
     schedule: &Schedule,
 ) -> Replayed {
     // The scheduler is irrelevant here — the replay engine overrides it —
     // but the latency plan and delivery mode shape the trace and must match
     // the recording's (the command layer enforces the mode).
     let mut sim = Simulation::new(spec.wiring(), D::nodes(spec), SchedulerKind::Fifo.build(0));
-    sim.set_latency(opts.latency.clone());
-    sim.set_batch(opts.batch);
-    let report = sim.replay(schedule, Budget::default());
+    let report = drive(&mut sim, opts.clone(), |sim, budget| {
+        sim.replay(schedule, budget)
+    });
     Replayed {
         report,
         fingerprint: sim.fingerprint(),
@@ -608,14 +580,18 @@ impl ProtocolSpec {
     }
 
     /// Records one run on `spec` under `opts`.
+    ///
+    /// The drivers are generic over content-carrying messages, so they
+    /// always queue full envelopes and `opts.backend` goes unused; the
+    /// backend changes queue memory only, never a [`Recorded`] field.
     #[must_use]
-    pub fn record(&self, spec: &RingSpec, opts: &DriveOpts) -> Recorded {
+    pub fn record(&self, spec: &RingSpec, opts: &RunOptions) -> Recorded {
         (self.record)(spec, opts)
     }
 
     /// Deterministically replays `schedule` on `spec`.
     #[must_use]
-    pub fn replay(&self, spec: &RingSpec, opts: &DriveOpts, schedule: &Schedule) -> Replayed {
+    pub fn replay(&self, spec: &RingSpec, opts: &RunOptions, schedule: &Schedule) -> Replayed {
         (self.replay)(spec, opts, schedule)
     }
 
@@ -998,7 +974,7 @@ mod tests {
     fn record_replay_round_trips_for_every_entry() {
         let spec = RingSpec::oriented(vec![2, 3, 1]);
         for entry in core_registry().entries() {
-            let opts = DriveOpts::new(SchedulerKind::Random, 5);
+            let opts = RunOptions::new(SchedulerKind::Random, 5);
             let rec = entry.record(&spec, &opts);
             let rep = entry.replay(&spec, &opts, &rec.picks);
             assert_eq!(rec.report, rep.report, "{}", entry.name());

@@ -3,8 +3,13 @@
 //! Convenience wrappers that wire a [`RingSpec`] to the right protocol,
 //! drive the simulation to completion, and package the result as an
 //! [`ElectionReport`] with the paper's predicted message complexity
-//! attached. All the examples, integration tests, and benches go through
-//! these entry points.
+//! attached. All the examples, integration tests and the benchmark go
+//! through these entry points.
+//!
+//! One [`RunOptions`] value describes a run: adversary, seed, latency
+//! plan, delivery mode, queue backend and budget. `run_alg{1,2,3}_with`
+//! take it whole and also return the queue-memory high-water mark; the
+//! short `run_alg{1,2,3}` entries run [`RunOptions::new`]'s defaults.
 
 use crate::alg1::Alg1Node;
 use crate::alg2::Alg2Node;
@@ -12,8 +17,91 @@ use crate::alg3::{Alg3Node, Alg3Output, IdScheme};
 use crate::election::{unique_leader, ElectionReport, Role};
 use crate::invariants::{Alg2MonitorObserver, CwMonitorObserver, InvariantViolation};
 use co_net::{
-    Budget, LatencyPlan, Port, Pulse, QueueBackend, RingSpec, RunReport, SchedulerKind, Simulation,
+    Budget, LatencyPlan, Message, Port, Protocol, Pulse, QueueBackend, RingSpec, RunReport,
+    SchedulerKind, Simulation,
 };
+
+/// How to drive one election.
+///
+/// Batching and the queue backend never change a report (the contracts of
+/// `tests/batch_equivalence.rs` and `tests/backend_equivalence.rs`); they
+/// only change how many engine transitions and how many queue bytes the
+/// run takes.
+#[derive(Clone, Debug)]
+pub struct RunOptions {
+    /// Delivery adversary (ignored by replays, which follow their picks).
+    pub scheduler: SchedulerKind,
+    /// Scheduler seed; only [`SchedulerKind::Random`] reads it.
+    pub seed: u64,
+    /// Per-channel latency plan (virtual time). The zero plan keeps the
+    /// engine's untimed fast path; replays must reuse the recording's plan.
+    pub latency: LatencyPlan,
+    /// Run-batched macro-stepping.
+    pub batch: bool,
+    /// Queue storage backend.
+    pub backend: QueueBackend,
+    /// Step budget.
+    pub budget: Budget,
+}
+
+impl RunOptions {
+    /// `scheduler`/`seed` with every other setting at its default: the zero
+    /// latency plan, per-pulse delivery, the `Vec` queue store that
+    /// [`Simulation::new`] uses, and [`Budget::default`].
+    #[must_use]
+    pub fn new(scheduler: SchedulerKind, seed: u64) -> RunOptions {
+        RunOptions {
+            scheduler,
+            seed,
+            latency: LatencyPlan::zero(),
+            batch: false,
+            backend: QueueBackend::default(),
+            budget: Budget::default(),
+        }
+    }
+}
+
+/// What a `run_alg*_with` entry returns: the protocol's report plus the
+/// high-water mark of queue storage bytes over the whole run.
+#[derive(Clone, Debug)]
+pub struct RunOutput<R = ElectionReport> {
+    /// The protocol's report.
+    pub report: R,
+    /// Peak queue storage bytes.
+    pub peak_queue_bytes: usize,
+}
+
+/// Applies `opts`' latency plan and delivery mode to `sim`, then runs it
+/// with `run` under `opts`' budget. Every runner entry and the registry's
+/// record/replay drivers go through here.
+pub(crate) fn drive<M: Message, P: Protocol<M>, R>(
+    sim: &mut Simulation<M, P>,
+    opts: RunOptions,
+    run: impl FnOnce(&mut Simulation<M, P>, Budget) -> R,
+) -> R {
+    sim.set_latency(opts.latency);
+    sim.set_batch(opts.batch);
+    run(sim, opts.budget)
+}
+
+/// Builds the pulse simulation `opts` describes (scheduler, seed, queue
+/// backend) over `nodes` and [`drive`]s it. Takes `opts` by value so a run
+/// clones its latency plan at most once.
+fn simulate<P: Protocol<Pulse>>(
+    spec: &RingSpec,
+    nodes: Vec<P>,
+    opts: RunOptions,
+    run: impl FnOnce(&mut Simulation<Pulse, P>, Budget) -> RunReport,
+) -> (Simulation<Pulse, P>, RunReport) {
+    let mut sim = Simulation::with_backend(
+        spec.wiring(),
+        nodes,
+        opts.scheduler.build(opts.seed),
+        opts.backend,
+    );
+    let report = drive(&mut sim, opts, run);
+    (sim, report)
+}
 
 /// Runs Algorithm 1 (stabilizing, oriented) to quiescence.
 ///
@@ -21,30 +109,17 @@ use co_net::{
 /// clockwise port — Algorithm 1 is defined for oriented rings.
 #[must_use]
 pub fn run_alg1(spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
-    run_alg1_latency(spec, scheduler, seed, &LatencyPlan::zero())
+    alg1(spec, RunOptions::new(scheduler, seed)).report
 }
 
-/// [`run_alg1`] under a per-channel latency plan (virtual time).
-///
-/// A zero plan keeps the engine's untimed fast path and reproduces
-/// [`run_alg1`] bit-for-bit; a non-degenerate plan timestamps every
-/// delivery, which matters to latency-aware schedulers like
-/// [`SchedulerKind::Latency`].
+/// Runs Algorithm 1 as `opts` describes.
 #[must_use]
-pub fn run_alg1_latency(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    latency: &LatencyPlan,
-) -> ElectionReport {
-    run_alg1_batch(spec, scheduler, seed, latency, false)
+pub fn run_alg1_with(spec: &RingSpec, opts: &RunOptions) -> RunOutput {
+    alg1(spec, opts.clone())
 }
 
-/// [`run_alg1_latency`] with run-batched macro-stepping on or off.
-///
-/// The batched engine is observationally equivalent to per-pulse delivery
-/// (`tests/batch_equivalence.rs`), so the report is byte-identical either
-/// way; the flag only changes how many engine transitions it takes.
+/// [`run_alg1_with`] under a latency plan and delivery mode, keeping only
+/// the report. The repo benchmark (`perfbench/`) calls this signature.
 #[must_use]
 pub fn run_alg1_batch(
     spec: &RingSpec,
@@ -53,16 +128,29 @@ pub fn run_alg1_batch(
     latency: &LatencyPlan,
     batch: bool,
 ) -> ElectionReport {
-    let nodes = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    let mut sim: Simulation<Pulse, Alg1Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    sim.set_latency(latency.clone());
-    sim.set_batch(batch);
-    let run = sim.run(Budget::default());
-    let roles: Vec<Role> = (0..spec.len()).map(|i| sim.node(i).role()).collect();
-    report_from(spec, &run, roles, Some(spec.len() as u64 * spec.id_max()))
+    alg1(spec, batch_options(scheduler, seed, latency, batch)).report
+}
+
+/// The `run_alg*_batch` arguments as [`RunOptions`], cloning the plan once.
+fn batch_options(
+    scheduler: SchedulerKind,
+    seed: u64,
+    latency: &LatencyPlan,
+    batch: bool,
+) -> RunOptions {
+    RunOptions {
+        latency: latency.clone(),
+        batch,
+        ..RunOptions::new(scheduler, seed)
+    }
+}
+
+fn alg1(spec: &RingSpec, opts: RunOptions) -> RunOutput {
+    let (sim, run) = simulate(spec, alg1_nodes(spec), opts, Simulation::run);
+    RunOutput {
+        report: alg1_report(spec, &sim, &run),
+        peak_queue_bytes: sim.peak_queue_bytes(),
+    }
 }
 
 /// Runs Algorithm 1 with the Lemma 6–12 monitors checked after every step.
@@ -75,45 +163,46 @@ pub fn run_alg1_monitored(
     scheduler: SchedulerKind,
     seed: u64,
 ) -> Result<ElectionReport, InvariantViolation> {
-    let nodes = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    let mut sim: Simulation<Pulse, Alg1Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
     let mut observer = CwMonitorObserver::new();
-    let run = sim.run_observed(Budget::default(), &mut observer);
-    observer.finish(sim.nodes())?;
-    let roles: Vec<Role> = (0..spec.len()).map(|i| sim.node(i).role()).collect();
-    Ok(report_from(
+    let (sim, run) = simulate(
         spec,
-        &run,
-        roles,
-        Some(spec.len() as u64 * spec.id_max()),
-    ))
+        alg1_nodes(spec),
+        RunOptions::new(scheduler, seed),
+        |sim, budget| sim.run_observed(budget, &mut observer),
+    );
+    observer.finish(sim.nodes())?;
+    Ok(alg1_report(spec, &sim, &run))
+}
+
+fn alg1_nodes(spec: &RingSpec) -> Vec<Alg1Node> {
+    (0..spec.len())
+        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
+        .collect()
+}
+
+fn alg1_report(
+    spec: &RingSpec,
+    sim: &Simulation<Pulse, Alg1Node>,
+    run: &RunReport,
+) -> ElectionReport {
+    let roles = (0..spec.len()).map(|i| sim.node(i).role()).collect();
+    report_from(run, roles, Some(spec.len() as u64 * spec.id_max()))
 }
 
 /// Runs Algorithm 2 (quiescently terminating, oriented; Theorem 1).
 #[must_use]
 pub fn run_alg2(spec: &RingSpec, scheduler: SchedulerKind, seed: u64) -> ElectionReport {
-    run_alg2_scheduler(spec, scheduler.build(seed))
+    alg2(spec, RunOptions::new(scheduler, seed)).report
 }
 
-/// [`run_alg2`] under a per-channel latency plan (virtual time).
-///
-/// A zero plan reproduces [`run_alg2`] bit-for-bit.
+/// Runs Algorithm 2 as `opts` describes.
 #[must_use]
-pub fn run_alg2_latency(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    latency: &LatencyPlan,
-) -> ElectionReport {
-    run_alg2_scheduler_latency(spec, scheduler.build(seed), latency)
+pub fn run_alg2_with(spec: &RingSpec, opts: &RunOptions) -> RunOutput {
+    alg2(spec, opts.clone())
 }
 
-/// [`run_alg2_latency`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
+/// [`run_alg2_with`] under a latency plan and delivery mode, keeping only
+/// the report. The repo benchmark (`perfbench/`) calls this signature.
 #[must_use]
 pub fn run_alg2_batch(
     spec: &RingSpec,
@@ -122,40 +211,32 @@ pub fn run_alg2_batch(
     latency: &LatencyPlan,
     batch: bool,
 ) -> ElectionReport {
-    let nodes = alg2_nodes(spec);
-    let mut sim: Simulation<Pulse, Alg2Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    sim.set_latency(latency.clone());
-    sim.set_batch(batch);
-    let run = sim.run(Budget::default());
-    let roles = alg2_roles(&sim, spec.len());
-    report_from(spec, &run, roles, Some(predicted_alg2(spec)))
+    alg2(spec, batch_options(scheduler, seed, latency, batch)).report
 }
 
-/// Runs Algorithm 2 under an arbitrary (possibly custom) scheduler.
+fn alg2(spec: &RingSpec, opts: RunOptions) -> RunOutput {
+    let (sim, run) = simulate(spec, alg2_nodes(spec), opts, Simulation::run);
+    RunOutput {
+        report: alg2_report(spec, &sim, &run),
+        peak_queue_bytes: sim.peak_queue_bytes(),
+    }
+}
+
+/// Runs Algorithm 2 under an arbitrary (possibly custom) scheduler, with
+/// every other setting at its [`RunOptions::new`] default.
 #[must_use]
 pub fn run_alg2_scheduler(
     spec: &RingSpec,
     scheduler: Box<dyn co_net::Scheduler>,
 ) -> ElectionReport {
-    run_alg2_scheduler_latency(spec, scheduler, &LatencyPlan::zero())
-}
-
-/// [`run_alg2_scheduler`] under a per-channel latency plan (virtual time).
-///
-/// A zero plan reproduces [`run_alg2_scheduler`] bit-for-bit.
-#[must_use]
-pub fn run_alg2_scheduler_latency(
-    spec: &RingSpec,
-    scheduler: Box<dyn co_net::Scheduler>,
-    latency: &LatencyPlan,
-) -> ElectionReport {
-    let nodes = alg2_nodes(spec);
-    let mut sim: Simulation<Pulse, Alg2Node> = Simulation::new(spec.wiring(), nodes, scheduler);
-    sim.set_latency(latency.clone());
-    let run = sim.run(Budget::default());
-    let roles = alg2_roles(&sim, spec.len());
-    report_from(spec, &run, roles, Some(predicted_alg2(spec)))
+    let mut sim = Simulation::new(spec.wiring(), alg2_nodes(spec), scheduler);
+    // `sim` already holds its scheduler, so the options' kind and seed go unused.
+    let run = drive(
+        &mut sim,
+        RunOptions::new(SchedulerKind::Fifo, 0),
+        Simulation::run,
+    );
+    alg2_report(spec, &sim, &run)
 }
 
 /// Runs Algorithm 2 with all §3 invariant monitors checked every step.
@@ -168,14 +249,15 @@ pub fn run_alg2_monitored(
     scheduler: SchedulerKind,
     seed: u64,
 ) -> Result<ElectionReport, InvariantViolation> {
-    let nodes = alg2_nodes(spec);
-    let mut sim: Simulation<Pulse, Alg2Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
     let mut observer = Alg2MonitorObserver::new();
-    let run = sim.run_observed(Budget::default(), &mut observer);
+    let (sim, run) = simulate(
+        spec,
+        alg2_nodes(spec),
+        RunOptions::new(scheduler, seed),
+        |sim, budget| sim.run_observed(budget, &mut observer),
+    );
     observer.finish(sim.nodes())?;
-    let roles = alg2_roles(&sim, spec.len());
-    Ok(report_from(spec, &run, roles, Some(predicted_alg2(spec))))
+    Ok(alg2_report(spec, &sim, &run))
 }
 
 /// Theorem 1's exact complexity for a ring: `n(2·ID_max + 1)`.
@@ -190,152 +272,17 @@ fn alg2_nodes(spec: &RingSpec) -> Vec<Alg2Node> {
         .collect()
 }
 
-fn alg2_roles(sim: &Simulation<Pulse, Alg2Node>, n: usize) -> Vec<Role> {
-    (0..n).map(|i| sim.node(i).role()).collect()
-}
-
-/// Result of a backend-parameterized run: election report plus queue-memory
-/// accounting. Produced by the `*_scaled` runners behind the E17 scaling
-/// experiment.
-#[derive(Clone, Debug)]
-pub struct ScaledReport {
-    /// The election outcome.
-    pub report: ElectionReport,
-    /// Queue storage backend the run used.
-    pub backend: QueueBackend,
-    /// High-water mark of queue storage bytes over the whole run.
-    pub peak_queue_bytes: usize,
-}
-
-/// Runs Algorithm 1 under an explicit queue backend and step budget.
-///
-/// Semantically identical to [`run_alg1`] — the report is byte-for-byte the
-/// same under either backend — but additionally returns the queue-memory
-/// high-water mark, and accepts a budget large enough for thousand-node
-/// rings (the default budget caps at 50 M steps, which `n = 5000` Alg2
-/// exceeds).
-#[must_use]
-pub fn run_alg1_scaled(
+fn alg2_report(
     spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-) -> ScaledReport {
-    run_alg1_scaled_batch(spec, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg1_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg1_scaled_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
-    let nodes = (0..spec.len())
-        .map(|i| Alg1Node::new(spec.id(i), spec.cw_port(i)))
-        .collect();
-    let mut sim: Simulation<Pulse, Alg1Node> =
-        Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
-    let run = sim.run(budget);
-    let roles: Vec<Role> = (0..spec.len()).map(|i| sim.node(i).role()).collect();
-    ScaledReport {
-        report: report_from(spec, &run, roles, Some(spec.len() as u64 * spec.id_max())),
-        backend,
-        peak_queue_bytes: sim.peak_queue_bytes(),
-    }
-}
-
-/// Runs Algorithm 2 under an explicit queue backend and step budget.
-///
-/// See [`run_alg1_scaled`] for the contract.
-#[must_use]
-pub fn run_alg2_scaled(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-) -> ScaledReport {
-    run_alg2_scaled_batch(spec, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg2_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg2_scaled_batch(
-    spec: &RingSpec,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
-    let nodes = alg2_nodes(spec);
-    let mut sim: Simulation<Pulse, Alg2Node> =
-        Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
-    let run = sim.run(budget);
-    let roles = alg2_roles(&sim, spec.len());
-    ScaledReport {
-        report: report_from(spec, &run, roles, Some(predicted_alg2(spec))),
-        backend,
-        peak_queue_bytes: sim.peak_queue_bytes(),
-    }
-}
-
-/// Runs Algorithm 3 under an explicit queue backend and step budget.
-///
-/// See [`run_alg1_scaled`] for the contract.
-#[must_use]
-pub fn run_alg3_scaled(
-    spec: &RingSpec,
-    scheme: IdScheme,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-) -> ScaledReport {
-    run_alg3_scaled_batch(spec, scheme, scheduler, seed, backend, budget, false)
-}
-
-/// [`run_alg3_scaled`] with run-batched macro-stepping on or off.
-///
-/// See [`run_alg1_batch`] for the equivalence contract.
-#[must_use]
-pub fn run_alg3_scaled_batch(
-    spec: &RingSpec,
-    scheme: IdScheme,
-    scheduler: SchedulerKind,
-    seed: u64,
-    backend: QueueBackend,
-    budget: Budget,
-    batch: bool,
-) -> ScaledReport {
-    let nodes = (0..spec.len())
-        .map(|i| Alg3Node::new(spec.id(i), scheme))
-        .collect();
-    let mut sim: Simulation<Pulse, Alg3Node> =
-        Simulation::with_backend(spec.wiring(), nodes, scheduler.build(seed), backend);
-    sim.set_batch(batch);
-    let run = sim.run(budget);
-    let out = alg3_report_from(spec, scheme, &sim, &run);
-    ScaledReport {
-        report: out.report,
-        backend,
-        peak_queue_bytes: sim.peak_queue_bytes(),
-    }
+    sim: &Simulation<Pulse, Alg2Node>,
+    run: &RunReport,
+) -> ElectionReport {
+    let roles = (0..spec.len()).map(|i| sim.node(i).role()).collect();
+    report_from(run, roles, Some(predicted_alg2(spec)))
 }
 
 /// Result of an Algorithm 3 run: election report plus orientation data.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Alg3Report {
     /// The election outcome.
     pub report: ElectionReport,
@@ -354,10 +301,28 @@ pub fn run_alg3(
     scheduler: SchedulerKind,
     seed: u64,
 ) -> Alg3Report {
+    alg3(spec, scheme, RunOptions::new(scheduler, seed)).report
+}
+
+/// Runs Algorithm 3 as `opts` describes.
+#[must_use]
+pub fn run_alg3_with(
+    spec: &RingSpec,
+    scheme: IdScheme,
+    opts: &RunOptions,
+) -> RunOutput<Alg3Report> {
+    alg3(spec, scheme, opts.clone())
+}
+
+fn alg3(spec: &RingSpec, scheme: IdScheme, opts: RunOptions) -> RunOutput<Alg3Report> {
     let nodes = (0..spec.len())
         .map(|i| Alg3Node::new(spec.id(i), scheme))
         .collect();
-    run_alg3_nodes(spec, scheme, nodes, scheduler, seed)
+    let (sim, run) = simulate(spec, nodes, opts, Simulation::run);
+    RunOutput {
+        report: alg3_report(spec, scheme, &sim, &run),
+        peak_queue_bytes: sim.peak_queue_bytes(),
+    }
 }
 
 /// Runs Algorithm 3 with Proposition 19 ID resampling enabled.
@@ -372,30 +337,18 @@ pub fn run_alg3_resampling(
 ) -> (Alg3Report, Vec<u64>) {
     let nodes = (0..spec.len())
         .map(|i| Alg3Node::with_resampling(spec.id(i), scheme, seed ^ (i as u64) << 32 | i as u64))
-        .collect::<Vec<_>>();
-    let spec_clone = spec.clone();
-    let mut sim: Simulation<Pulse, Alg3Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    let run = sim.run(Budget::default());
+        .collect();
+    let (sim, run) = simulate(
+        spec,
+        nodes,
+        RunOptions::new(scheduler, seed),
+        Simulation::run,
+    );
     let final_ids: Vec<u64> = (0..spec.len()).map(|i| sim.node(i).id()).collect();
-    let report = alg3_report_from(&spec_clone, scheme, &sim, &run);
-    (report, final_ids)
+    (alg3_report(spec, scheme, &sim, &run), final_ids)
 }
 
-fn run_alg3_nodes(
-    spec: &RingSpec,
-    scheme: IdScheme,
-    nodes: Vec<Alg3Node>,
-    scheduler: SchedulerKind,
-    seed: u64,
-) -> Alg3Report {
-    let mut sim: Simulation<Pulse, Alg3Node> =
-        Simulation::new(spec.wiring(), nodes, scheduler.build(seed));
-    let run = sim.run(Budget::default());
-    alg3_report_from(spec, scheme, &sim, &run)
-}
-
-fn alg3_report_from(
+fn alg3_report(
     spec: &RingSpec,
     scheme: IdScheme,
     sim: &Simulation<Pulse, Alg3Node>,
@@ -411,7 +364,6 @@ fn alg3_report_from(
     let all_cw = decided && (0..spec.len()).all(|i| cw_ports[i] == Some(spec.cw_port(i)));
     let all_ccw = decided && (0..spec.len()).all(|i| cw_ports[i] == Some(spec.ccw_port(i)));
     let report = report_from(
-        spec,
         run,
         roles,
         Some(scheme.predicted_messages(spec.len() as u64, spec.id_max())),
@@ -423,12 +375,7 @@ fn alg3_report_from(
     }
 }
 
-fn report_from(
-    _spec: &RingSpec,
-    run: &RunReport,
-    roles: Vec<Role>,
-    predicted: Option<u64>,
-) -> ElectionReport {
+fn report_from(run: &RunReport, roles: Vec<Role>, predicted: Option<u64>) -> ElectionReport {
     ElectionReport {
         outcome: run.outcome,
         total_messages: run.total_sent,
@@ -505,33 +452,64 @@ mod tests {
     }
 
     #[test]
-    fn scaled_runners_agree_with_plain_across_backends() {
+    fn with_entries_agree_with_defaults_across_options() {
+        use co_net::LatencyModel;
         let spec = RingSpec::oriented(vec![2, 6, 3, 5]);
-        let plain1 = run_alg1(&spec, SchedulerKind::Fifo, 0);
-        let plain2 = run_alg2(&spec, SchedulerKind::Fifo, 0);
-        let plain3 = run_alg3(&spec, IdScheme::Improved, SchedulerKind::Fifo, 0);
-        for backend in QueueBackend::ALL {
-            let budget = Budget::default();
-            let s1 = run_alg1_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget);
-            let s2 = run_alg2_scaled(&spec, SchedulerKind::Fifo, 0, backend, budget);
-            let s3 = run_alg3_scaled(
-                &spec,
-                IdScheme::Improved,
-                SchedulerKind::Fifo,
-                0,
-                backend,
-                budget,
-            );
-            for (scaled, plain) in [(&s1, &plain1), (&s2, &plain2), (&s3, &plain3.report)] {
-                assert_eq!(scaled.backend, backend);
-                assert_eq!(scaled.report.outcome, plain.outcome, "{backend}");
-                assert_eq!(scaled.report.steps, plain.steps, "{backend}");
-                assert_eq!(
-                    scaled.report.total_messages, plain.total_messages,
-                    "{backend}"
-                );
-                assert_eq!(scaled.report.leader, plain.leader, "{backend}");
-                assert!(scaled.peak_queue_bytes > 0, "{backend}: queues were used");
+        let registry = crate::registry::core_registry();
+        let latencies = [
+            LatencyPlan::zero(),
+            LatencyPlan::new(LatencyModel::Uniform { min: 1, max: 9 }, 7),
+        ];
+        for kind in SchedulerKind::ALL
+            .into_iter()
+            .chain([SchedulerKind::Latency])
+        {
+            let plain1 = run_alg1(&spec, kind, 9);
+            let plain2 = run_alg2(&spec, kind, 9);
+            let plain3 = run_alg3(&spec, IdScheme::Improved, kind, 9);
+            for backend in QueueBackend::ALL {
+                for batch in [false, true] {
+                    for latency in &latencies {
+                        let opts = RunOptions {
+                            latency: latency.clone(),
+                            batch,
+                            backend,
+                            ..RunOptions::new(kind, 9)
+                        };
+                        let out1 = run_alg1_with(&spec, &opts);
+                        let out2 = run_alg2_with(&spec, &opts);
+                        let out3 = run_alg3_with(&spec, IdScheme::Improved, &opts);
+                        assert_eq!(out1.report, plain1, "{opts:?}");
+                        assert_eq!(out2.report, plain2, "{opts:?}");
+                        assert_eq!(out3.report, plain3, "{opts:?}");
+                        for (name, out) in [
+                            ("alg1", &out1.report),
+                            ("alg2", &out2.report),
+                            ("alg3", &out3.report.report),
+                        ] {
+                            // The registry's record driver, given the same
+                            // options, runs the very same election.
+                            let rec = registry.get(name).unwrap().record(&spec, &opts).report;
+                            assert_eq!(
+                                rec,
+                                RunReport {
+                                    outcome: out.outcome,
+                                    total_sent: out.total_messages,
+                                    steps: out.steps,
+                                    in_flight: 0,
+                                },
+                                "{name} {opts:?}"
+                            );
+                        }
+                        for peak in [
+                            out1.peak_queue_bytes,
+                            out2.peak_queue_bytes,
+                            out3.peak_queue_bytes,
+                        ] {
+                            assert!(peak > 0, "{opts:?}: queues were used");
+                        }
+                    }
+                }
             }
         }
     }

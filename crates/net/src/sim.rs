@@ -275,17 +275,6 @@ impl<M: Message, P: Protocol<M>, A: SimObserver<M, P>, B: SimObserver<M, P>> Sim
     }
 }
 
-/// Adapts a closure to [`SimObserver`] for [`Simulation::run_with`].
-struct HookObserver<F>(F);
-
-impl<M: Message, P: Protocol<M>, F: FnMut(&Simulation<M, P>, &StepInfo)> SimObserver<M, P>
-    for HookObserver<F>
-{
-    fn after_step(&mut self, sim: &Simulation<M, P>, step: &StepInfo) {
-        (self.0)(sim, step);
-    }
-}
-
 /// Adapts a `&mut [P]` node slice to the engine's [`EventHandler`].
 struct RingHandler<'a, M: Message, P: Protocol<M>> {
     nodes: &'a mut [P],
@@ -603,45 +592,11 @@ impl<M: Message, P: Protocol<M>> Simulation<M, P> {
     /// Honours [`Simulation::set_batch`]: with batching on, the engine
     /// fuses pulse runs into single transitions where provably
     /// indistinguishable (budget still counts pulses). Attach per-step
-    /// hooks with [`Simulation::run_with`]/[`Simulation::run_observed`],
-    /// which always step per-pulse so observers see every intermediate
-    /// configuration.
+    /// observers with [`Simulation::run_observed`], which always steps
+    /// per-pulse so observers see every intermediate configuration.
     pub fn run(&mut self, budget: Budget) -> RunReport {
         let mut handler = Self::handler(&mut self.nodes);
         self.core.run(&mut handler, budget)
-    }
-
-    /// Runs until quiescence or budget exhaustion, invoking `hook` after
-    /// every delivery with the post-event simulation state.
-    ///
-    /// This is the closure-flavoured convenience over
-    /// [`Simulation::run_observed`]:
-    ///
-    /// ```rust
-    /// # use co_net::{Budget, Context, Port, Protocol, Pulse, RingSpec, SchedulerKind, Simulation};
-    /// # #[derive(Debug)]
-    /// # struct Quiet;
-    /// # impl Protocol<Pulse> for Quiet {
-    /// #     type Output = ();
-    /// #     fn on_start(&mut self, ctx: &mut Context<'_, Pulse>) { ctx.send(Port::One, Pulse); }
-    /// #     fn on_message(&mut self, _p: Port, _m: Pulse, _c: &mut Context<'_, Pulse>) {}
-    /// #     fn output(&self) -> Option<()> { None }
-    /// # }
-    /// # let spec = RingSpec::oriented(vec![1, 2]);
-    /// # let nodes = vec![Quiet, Quiet];
-    /// # let mut sim: Simulation<Pulse, Quiet> =
-    /// #     Simulation::new(spec.wiring(), nodes, SchedulerKind::Fifo.build(0));
-    /// let mut max_in_flight = 0;
-    /// sim.run_with(Budget::default(), |sim, _step| {
-    ///     max_in_flight = max_in_flight.max(sim.in_flight());
-    /// });
-    /// assert!(max_in_flight <= 2);
-    /// ```
-    pub fn run_with<F>(&mut self, budget: Budget, hook: F) -> RunReport
-    where
-        F: FnMut(&Simulation<M, P>, &StepInfo),
-    {
-        self.run_observed(budget, &mut HookObserver(hook))
     }
 
     /// Runs until quiescence or budget exhaustion under a [`SimObserver`].
@@ -1027,14 +982,6 @@ mod tests {
         assert_eq!(metrics.terminations, 4);
         assert_eq!(metrics.faults, 0);
         assert!(metrics.max_in_flight >= 1);
-    }
-
-    #[test]
-    fn run_with_hook_sees_every_step() {
-        let mut sim = ring_sim(3, 4);
-        let mut seen = 0u64;
-        let report = sim.run_with(Budget::default(), |_, _| seen += 1);
-        assert_eq!(seen, report.steps);
     }
 
     #[test]

@@ -198,13 +198,12 @@ fn large_ring_smoke_n5000_counter_backend() {
     use content_oblivious::net::{Budget, QueueBackend};
     let n = 5000usize;
     let spec = RingSpec::oriented((1..=n as u64).collect());
-    let out = runner::run_alg2_scaled(
-        &spec,
-        SchedulerKind::Fifo,
-        0,
-        QueueBackend::Counter,
-        Budget::steps(120_000_000),
-    );
+    let opts = runner::RunOptions {
+        backend: QueueBackend::Counter,
+        budget: Budget::steps(120_000_000),
+        ..runner::RunOptions::new(SchedulerKind::Fifo, 0)
+    };
+    let out = runner::run_alg2_with(&spec, &opts);
     assert!(out.report.quiescently_terminated());
     assert_eq!(
         out.report.total_messages,
