@@ -21,19 +21,21 @@
 //! * [`MmapStore`] — a file-backed open-addressing table (8-byte slots,
 //!   linear probing, grow-by-rehash into a doubled file) that keeps the
 //!   exact backend's zero-false-positive contract while moving the storage
-//!   *out of RAM*: the table lives in a sparse file the OS page cache maps
-//!   in and out on demand, so the resident footprint is working-set-sized
+//!   *out of RAM*: the table lives in a sparse file whose hot pages the OS
+//!   page cache keeps, so the resident footprint is working-set-sized
 //!   rather than state-space-sized. This is the out-of-core backend that
 //!   makes state spaces larger than RAM exhaustible.
 //!
-//! The mmap backend is implemented with positioned reads/writes
-//! ([`std::os::unix::fs::FileExt`]) rather than a raw `mmap(2)` mapping:
-//! the workspace forbids `unsafe` and carries no FFI dependency, and an
-//! 8-byte `pread`/`pwrite` against a page-cached file has the same
-//! out-of-core behaviour (the kernel caches hot pages, evicts cold ones)
-//! without any unsafe aliasing. Set-equivalence with [`ExactStore`] is
-//! asserted by property tests driving both stores with identical insert
-//! sequences across grow-by-rehash boundaries.
+//! Despite its name, the mmap backend is **not memory-mapped**. The crates
+//! `forbid(unsafe_code)` and carry no FFI dependency, so instead of an
+//! `mmap(2)` mapping it does positioned I/O
+//! ([`std::os::unix::fs::FileExt`]): one 8-byte `read_exact_at` system call
+//! per probed slot, and one `write_all_at` per admitted fingerprint. The
+//! out-of-core behaviour is the same (the kernel caches hot pages, evicts
+//! cold ones); the per-probe cost is a system call, not a memory load. The
+//! `mmap` name stays because checkpoints store it. Set-equivalence with
+//! [`ExactStore`] is asserted by property tests driving both stores with
+//! identical insert sequences across grow-by-rehash boundaries.
 //!
 //! Soundness note: a Bloom false positive can only *under*-count states
 //! (prune a subtree that re-merges with the visited space elsewhere); it
@@ -77,8 +79,10 @@ pub enum DedupKind {
     /// Bloom-filter shards: fixed memory, tunable false-positive budget.
     Bloom,
     /// File-backed open-addressing shards ([`MmapStore`]): exact answers,
-    /// out-of-core storage. `budget` is the initial total file size in
-    /// bytes across all shards (tables grow by rehash past it).
+    /// out-of-core storage. Not memory-mapped: every probed slot is one
+    /// positioned `read_exact_at` (see the module docs). `budget` is the
+    /// initial total file size in bytes across all shards (tables grow by
+    /// rehash past it).
     Mmap {
         /// Initial total table-file bytes across all shards.
         budget: usize,
@@ -387,10 +391,11 @@ pub(crate) fn unique_name(prefix: &str) -> String {
 /// linear probing from `splitmix64(fp) & mask`, slot value `0` meaning
 /// empty (the fingerprint `0` itself is tracked by a one-bit side flag).
 /// When occupancy crosses ⅞ the table grows by rehash into a fresh file of
-/// twice the slots and the old file is deleted. All I/O is positioned
-/// (`read_at`/`write_at`), so the OS page cache keeps the hot prefix of the
-/// probe space resident and evicts the rest — RSS tracks the working set,
-/// not the table.
+/// twice the slots and the old file is deleted. Nothing is memory-mapped:
+/// all I/O is positioned (one `read_exact_at` per probed slot, one
+/// `write_all_at` per insert), and the OS page cache keeps the hot prefix
+/// of the probe space resident and evicts the rest — RSS tracks the
+/// working set, not the table.
 ///
 /// I/O errors (disk full, table file unlinked underneath us) panic: a
 /// dedup store that silently loses inserts would corrupt state counts.

@@ -720,7 +720,7 @@ impl fmt::Display for Outcome {
 }
 
 /// Aggregate counters of a simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total messages sent (= the paper's message complexity when the run
     /// reaches quiescence).
@@ -742,6 +742,32 @@ pub struct SimStats {
     /// Virtual-clock timers fired (0 throughout untimed runs and for
     /// protocols that never arm timers).
     pub timer_fires: u64,
+}
+
+// Hand-written so that `clone_from` — the restore path — reuses the
+// per-port counter buffers instead of reallocating them (a derived `Clone`
+// implements `clone_from` as `*self = source.clone()`). The struct updates
+// copy every `Copy` field; a new non-`Copy` field fails to compile here.
+impl Clone for SimStats {
+    fn clone(&self) -> Self {
+        SimStats {
+            sent_by_port: self.sent_by_port.clone(),
+            recv_by_port: self.recv_by_port.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut sent_by_port = std::mem::take(&mut self.sent_by_port);
+        let mut recv_by_port = std::mem::take(&mut self.recv_by_port);
+        sent_by_port.clone_from(&source.sent_by_port);
+        recv_by_port.clone_from(&source.recv_by_port);
+        *self = SimStats {
+            sent_by_port,
+            recv_by_port,
+            ..*source
+        };
+    }
 }
 
 impl SimStats {
@@ -911,10 +937,31 @@ struct Envelope<M> {
 /// numbers. `runs[0]` is the head run (next delivery = its start seq); the
 /// rest is the spill list created by sequence gaps (interleaved sends on
 /// other channels) or fault-injected duplicates.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct PulseRuns {
     runs: VecDeque<(u64, u64)>,
     len: usize,
+}
+
+// Hand-written `Clone` impls for the queue store (here and on
+// `QueueStore`): `clone_from` moves the buffers out, refills them with
+// `Vec::clone_from` / `VecDeque::clone_from`, and copies the rest by struct
+// update. A derived `Clone` would reallocate every run list on every
+// [`EventCore::restore`]. The struct updates copy every `Copy` field; a new
+// non-`Copy` field fails to compile here.
+impl Clone for PulseRuns {
+    fn clone(&self) -> Self {
+        PulseRuns {
+            runs: self.runs.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.clone_from(&source.runs);
+        *self = PulseRuns { runs, ..*source };
+    }
 }
 
 impl PulseRuns {
@@ -1002,12 +1049,41 @@ enum StoreRepr<M> {
 /// keeps the byte accounting ([`QueueStore::queue_bytes`] /
 /// [`QueueStore::peak_queue_bytes`]) that backs `RunMetrics::
 /// peak_queue_bytes` and the E17 memory column.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct QueueStore<M> {
     repr: StoreRepr<M>,
     total: usize,
     cur_bytes: usize,
     peak_bytes: usize,
+}
+
+impl<M: Clone> Clone for QueueStore<M> {
+    fn clone(&self) -> Self {
+        QueueStore {
+            repr: self.repr.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut repr = std::mem::replace(&mut self.repr, StoreRepr::Vec(Vec::new()));
+        match (&mut repr, &source.repr) {
+            (StoreRepr::Vec(queues), StoreRepr::Vec(src)) => queues.clone_from(src),
+            (
+                StoreRepr::Counter { proto, chans },
+                StoreRepr::Counter {
+                    proto: src_proto,
+                    chans: src_chans,
+                },
+            ) => {
+                proto.clone_from(src_proto);
+                chans.clone_from(src_chans);
+            }
+            // Backend mismatch: nothing to reuse.
+            (repr, src) => *repr = src.clone(),
+        }
+        *self = QueueStore { repr, ..*source };
+    }
 }
 
 impl<M: Message> QueueStore<M> {
@@ -1646,6 +1722,11 @@ impl<M: Message, T: Topology> EventCore<M, T> {
     /// The snapshot must come from a core over the same topology (same
     /// channel count), the same [`QueueBackend`], and the same scheduler
     /// type.
+    ///
+    /// Works in place: queues, run lists, counters, the ready list and the
+    /// scheduler's ready index are refilled into the core's existing
+    /// buffers, so restoring a configuration no larger than ones the core
+    /// has already held rarely allocates.
     pub fn restore(&mut self, snapshot: &CoreSnapshot<M>) {
         assert_eq!(
             snapshot.queues.channel_count(),
@@ -1666,7 +1747,8 @@ impl<M: Message, T: Topology> EventCore<M, T> {
         self.queues.clone_from(&snapshot.queues);
         self.clock.set(snapshot.clock);
         self.timer_seq = snapshot.timer_seq;
-        self.timers = snapshot.timers.iter().copied().collect();
+        self.timers.clear();
+        self.timers.extend(snapshot.timers.iter().copied());
         if let (Some(lat), Some(snap)) = (&mut self.latency, &snapshot.latency) {
             for (rng, state) in lat.rngs.iter_mut().zip(&snap.rng_states) {
                 *rng = StdRng::from_state(*state);
@@ -2629,6 +2711,9 @@ impl<M: Message, T: Topology + fmt::Debug> fmt::Debug for EventCore<M, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Pulse;
+    use crate::sched::FifoScheduler;
+    use crate::topology::{RingSpec, Wiring};
 
     #[test]
     fn run_metrics_track_in_flight_extremes() {
@@ -2867,7 +2952,6 @@ mod tests {
 
     #[test]
     fn store_run_primitives_are_backend_aware() {
-        use crate::message::Pulse;
         let mut counter: QueueStore<Pulse> = QueueStore::counter(2);
         counter.push_run(0, Pulse, 0, 5);
         counter.push(1, Pulse, 5);
@@ -2891,7 +2975,6 @@ mod tests {
 
     #[test]
     fn counter_store_is_fifo_with_byte_accounting() {
-        use crate::message::Pulse;
         let mut store: QueueStore<Pulse> = QueueStore::counter(2);
         assert_eq!(store.backend(), QueueBackend::Counter);
         // Interleave two channels: ch0 gets seqs 0,1,3 (gap), ch1 gets 2.
@@ -2926,5 +3009,150 @@ mod tests {
         assert_eq!(store.pop(0), Some((99, 0)));
         assert_eq!(store.queue_bytes(), per_msg);
         assert_eq!(store.peak_queue_bytes(), 2 * per_msg);
+    }
+
+    /// Stateless relay over a ring: a pulse keeps travelling in its
+    /// direction until node 0 absorbs it. Node `v` starts by sending
+    /// `v + 2` pulses on alternating ports, so the counter backend's run
+    /// lists fragment.
+    struct Relay;
+
+    impl EventHandler<Pulse> for Relay {
+        fn on_start(&mut self, node: usize, _degree: usize, outbox: &mut Vec<(usize, Pulse)>) {
+            outbox.extend((0..node + 2).map(|i| (i % 2, Pulse)));
+        }
+
+        fn on_message(
+            &mut self,
+            node: usize,
+            _degree: usize,
+            port: usize,
+            msg: Pulse,
+            outbox: &mut Vec<(usize, Pulse)>,
+        ) {
+            if node != 0 {
+                outbox.push((1 - port, msg));
+            }
+        }
+
+        fn is_terminated(&self, _node: usize) -> bool {
+            false
+        }
+    }
+
+    fn relay_core(backend: QueueBackend, steps: usize) -> EventCore<Pulse, Wiring> {
+        let wiring = RingSpec::oriented((1..=5).collect()).wiring();
+        let mut core = EventCore::with_backend(wiring, Box::new(FifoScheduler::new()), backend);
+        core.start(&mut Relay);
+        for _ in 0..steps {
+            core.step(&mut Relay).expect("the relay is still busy");
+        }
+        core
+    }
+
+    /// Everything a restored core can be observed by: counters, queue
+    /// lengths, peak queue bytes, fingerprint, then the FIFO run to
+    /// quiescence and the counters it ends with.
+    type Observed = (SimStats, Vec<usize>, usize, u64, Vec<EngineStep>, SimStats);
+
+    fn observe(core: &mut EventCore<Pulse, Wiring>) -> Observed {
+        let before = core.stats().clone();
+        let lens = (0..core.topology().channel_count())
+            .map(|ch| core.queue_len(ch))
+            .collect();
+        let peak = core.peak_queue_bytes();
+        let fp = core.net_fingerprint();
+        let continuation = std::iter::from_fn(|| core.step(&mut Relay)).collect();
+        (before, lens, peak, fp, continuation, core.stats().clone())
+    }
+
+    #[test]
+    fn restore_in_place_matches_a_fresh_restore() {
+        for backend in QueueBackend::ALL {
+            let snap = relay_core(backend, 6).snapshot();
+            let mut fresh = relay_core(backend, 0);
+            fresh.restore(&snap);
+            let expected = observe(&mut fresh);
+            assert!(
+                !expected.4.is_empty(),
+                "{backend}: snapshot must not be quiescent"
+            );
+
+            // Run further: more steps plus an injected burst spread over
+            // channels, so run lists are longer and counters larger than
+            // the snapshot's.
+            let mut further = relay_core(backend, 12);
+            for i in 0..40 {
+                further.inject(i % 4, Pulse);
+            }
+            // Run less far: started only.
+            let behind = relay_core(backend, 0);
+            for (label, mut core) in [("further", further), ("behind", behind)] {
+                core.restore(&snap);
+                assert_eq!(
+                    observe(&mut core),
+                    expected,
+                    "{backend}: restore into {label}"
+                );
+                // A second restore, now into a core that ran to quiescence.
+                core.restore(&snap);
+                assert_eq!(
+                    observe(&mut core),
+                    expected,
+                    "{backend}: re-restore into {label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hand_written_clones_agree_with_clone_from() {
+        // Store shapes: both backends, empty, short and fragmented.
+        let mut stores: Vec<QueueStore<Pulse>> = Vec::new();
+        for backend in QueueBackend::ALL {
+            for pushes in [0u64, 3, 40] {
+                let mut store = match backend {
+                    QueueBackend::Vec => QueueStore::vec(4),
+                    QueueBackend::Counter => QueueStore::counter(4),
+                };
+                for seq in 0..pushes {
+                    store.push((seq % 3) as usize, Pulse, seq);
+                }
+                store.pop(0);
+                stores.push(store);
+            }
+        }
+        for src in &stores {
+            assert_eq!(format!("{:?}", src.clone()), format!("{src:?}"));
+            for dst in &stores {
+                let mut dst = dst.clone();
+                dst.clone_from(src);
+                assert_eq!(format!("{dst:?}"), format!("{src:?}"));
+            }
+        }
+
+        let full = SimStats {
+            total_sent: 1,
+            total_delivered: 2,
+            delivered_to_terminated: 3,
+            steps: 4,
+            sent_by_direction: [5, 6],
+            sent_by_port: vec![vec![7, 8], vec![9, 10]],
+            recv_by_port: vec![vec![11, 12, 13]],
+            timer_fires: 14,
+        };
+        let all_stats = [
+            full.clone(),
+            SimStats::default(),
+            relay_core(QueueBackend::Vec, 9).stats().clone(),
+        ];
+        assert_eq!(all_stats[0], full);
+        for src in &all_stats {
+            for dst in &all_stats {
+                let mut dst = dst.clone();
+                dst.clone_from(src);
+                assert_eq!(&dst, src);
+            }
+        }
     }
 }

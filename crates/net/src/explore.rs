@@ -67,6 +67,7 @@ use crate::engine::QueueBackend;
 use crate::faults::FaultPlan;
 use crate::message::Pulse;
 use crate::port::Port;
+use crate::prof;
 use crate::sched::FifoScheduler;
 use crate::sim::{Context, Protocol, SimSnapshot, Simulation};
 use crate::snapshot::{put_bytes, put_str, put_u32, put_u64, ByteReader, Fingerprint, Snapshot};
@@ -221,12 +222,13 @@ where
     let mut quiescent_configs = 0usize;
     let mut complete = true;
 
-    visited.insert(sim.fingerprint());
+    let fp = config_fingerprint(&sim, None);
+    timed_insert(|| visited.insert(fp));
     // DFS stack of (checkpoint, depth).
     let mut stack = vec![(sim.snapshot(), 0usize)];
 
     'dfs: while let Some((snapshot, depth)) = stack.pop() {
-        sim.restore(&snapshot);
+        timed_restore(&mut sim, &snapshot);
         let state = state_of(&sim);
         if let Err(e) = safety(&state) {
             note_violation(&mut violations, format!("safety: {e}"));
@@ -242,23 +244,27 @@ where
             complete = false;
             continue;
         }
-        // Branch: deliver the head of every non-empty channel.
-        for channel in sim.ready_channels() {
-            sim.restore(&snapshot);
+        // Branch: deliver the head of every non-empty channel. The first
+        // successor steps from the live state, which is `snapshot`.
+        for (i, channel) in sim.ready_channels().into_iter().enumerate() {
+            if i > 0 {
+                timed_restore(&mut sim, &snapshot);
+            }
             sim.step_channel(channel)
                 .expect("ready channel has a message");
-            let fp = sim.fingerprint();
-            if visited.contains(&fp) {
+            let fp = config_fingerprint(&sim, None);
+            if !timed_insert(|| visited.insert(fp)) {
                 continue;
             }
             // Only *new* entries cost storage; revisits are free.
-            if visited.len() >= limits.max_configs
-                || (visited.len() + 1) * BYTES_PER_CONFIG > limits.max_state_bytes
+            if visited.len() > limits.max_configs
+                || visited.len() * BYTES_PER_CONFIG > limits.max_state_bytes
             {
+                // Over a limit: the configuration is not admitted after all.
+                visited.remove(&fp);
                 complete = false;
                 break 'dfs;
             }
-            visited.insert(fp);
             stack.push((sim.snapshot(), depth + 1));
         }
     }
@@ -653,12 +659,15 @@ fn effective_jobs(requested: usize) -> usize {
 /// fires for one and not the other), so the send counter — clamped to just
 /// past the plan's [`FaultPlan::horizon`], beyond which the plan is inert —
 /// is mixed in.
+///
+/// Profiled as [`prof::Phase::Fingerprint`].
 fn config_fingerprint<P>(sim: &Simulation<Pulse, P>, fault_horizon: Option<u64>) -> u64
 where
     P: Protocol<Pulse> + Snapshot,
 {
+    let t = prof::start();
     let base = sim.fingerprint();
-    match fault_horizon {
+    let fp = match fault_horizon {
         None => base,
         Some(h) => {
             let mut fp = Fingerprint::new();
@@ -666,7 +675,28 @@ where
             fp.write_u64(sim.send_seq().min(h + 1));
             fp.finish()
         }
-    }
+    };
+    prof::stop(prof::Phase::Fingerprint, t);
+    fp
+}
+
+/// [`Simulation::restore`], profiled as [`prof::Phase::Restore`].
+fn timed_restore<P>(sim: &mut Simulation<Pulse, P>, snapshot: &SimSnapshot<Pulse, P>)
+where
+    P: Protocol<Pulse> + Snapshot,
+{
+    let t = prof::start();
+    sim.restore(snapshot);
+    prof::stop(prof::Phase::Restore, t);
+}
+
+/// A visited-set insert (`true` = newly admitted), profiled as
+/// [`prof::Phase::DedupInsert`].
+fn timed_insert(insert: impl FnOnce() -> bool) -> bool {
+    let t = prof::start();
+    let fresh = insert();
+    prof::stop(prof::Phase::DedupInsert, t);
+    fresh
 }
 
 /// Work-stealing, frontier-sharded parallel version of [`explore`].
@@ -792,7 +822,8 @@ where
                 });
         }
     } else {
-        index.insert(config_fingerprint(&seed_sim, horizon));
+        let fp = config_fingerprint(&seed_sim, horizon);
+        timed_insert(|| index.insert(fp));
         if index.bytes().total() > limits.max_state_bytes {
             // A preallocating backend can blow the byte budget before the
             // first delivery; report the same "budget starved" shape the
@@ -922,10 +953,14 @@ where
                         // by replaying their channel picks from the seed.
                         // Faults key on the global send sequence, which the
                         // replay reproduces exactly.
+                        // Either way `sim` is left holding `snapshot`.
                         let snapshot = match snap {
-                            Some(s) => s,
+                            Some(s) => {
+                                timed_restore(&mut sim, &s);
+                                s
+                            }
                             None => {
-                                sim.restore(&my_seed);
+                                timed_restore(&mut sim, &my_seed);
                                 for &pick in &path {
                                     let channel = ChannelId::from_index(pick as usize);
                                     if batch {
@@ -939,7 +974,6 @@ where
                                 sim.snapshot()
                             }
                         };
-                        sim.restore(&snapshot);
                         let state = state_of(&sim);
                         if let Err(e) = safety(&state) {
                             note_violation(
@@ -961,8 +995,12 @@ where
                             // budget stop whose frontier stays intact.
                             pruned.store(true, Ordering::Release);
                         } else {
-                            for channel in sim.ready_channels() {
-                                sim.restore(&snapshot);
+                            // The first successor steps from the live
+                            // state; the others restore `snapshot` first.
+                            for (i, channel) in sim.ready_channels().into_iter().enumerate() {
+                                if i > 0 {
+                                    timed_restore(&mut sim, &snapshot);
+                                }
                                 if batch {
                                     sim.step_channel_batch(channel, u64::MAX)
                                         .expect("ready channel has a message");
@@ -971,7 +1009,7 @@ where
                                         .expect("ready channel has a message");
                                 }
                                 let fp = config_fingerprint(&sim, horizon);
-                                if !index.insert(fp) {
+                                if !timed_insert(|| index.insert(fp)) {
                                     continue;
                                 }
                                 // Invariant (resume convergence): an
@@ -2149,5 +2187,54 @@ mod tests {
         );
         assert!(!report.complete);
         assert!(report.configs <= 17);
+    }
+
+    #[test]
+    fn explorers_report_branching_phases_to_the_profiler() {
+        use prof::Phase;
+        // The collector is process-global and other tests in this binary
+        // explore (or toggle it) concurrently. A foreign explorer that
+        // straddles the enable or disable edge leaves one unpaired sample,
+        // so a few attempts may be needed to find an undisturbed window.
+        let spec = RingSpec::oriented(vec![1, 3, 2]);
+        let phases = [Phase::Restore, Phase::Fingerprint, Phase::DedupInsert];
+        let counts = || {
+            let report = prof::report();
+            phases.map(|p| report.phase(p).count)
+        };
+        let mut seen = Vec::new();
+        for _ in 0..8 {
+            let before = counts();
+            prof::set_enabled(true);
+            let sequential = explore(
+                &spec.wiring(),
+                mini_ring,
+                mini_safety,
+                mini_quiescence,
+                ExploreLimits::default(),
+            );
+            let parallel = explore_parallel(
+                &spec.wiring(),
+                mini_ring,
+                mini_safety,
+                mini_quiescence,
+                &ExploreConfig {
+                    jobs: 1,
+                    ..ExploreConfig::default()
+                },
+            );
+            prof::set_enabled(false);
+            let after = counts();
+            let [restores, fingerprints, inserts] = [0, 1, 2].map(|i| after[i] - before[i]);
+            if fingerprints == inserts {
+                // Every admitted configuration was fingerprinted; every
+                // popped item with a second ready channel restored.
+                assert!(fingerprints >= (sequential.configs + parallel.configs) as u64);
+                assert!(restores > 0);
+                return;
+            }
+            seen.push((fingerprints, inserts));
+        }
+        panic!("fingerprint and dedup-insert counts never matched: {seen:?}");
     }
 }

@@ -1,6 +1,7 @@
 //! Hot-path profiling for the event core — zero-cost when disabled.
 //!
-//! The engine's hot phases ([`Phase`]) are bracketed with
+//! The engine's hot phases and the explorer's branching phases ([`Phase`])
+//! are bracketed with
 //! [`start`]/[`stop`] pairs. While profiling is off (the default), each
 //! bracket is a single relaxed atomic load and no clock is read; switching
 //! [`set_enabled`]`(true)` turns every bracket into a timed sample feeding
@@ -32,7 +33,8 @@ use std::time::Instant;
 /// Histogram buckets: log₂ of nanoseconds, clamped to `[0, BUCKETS)`.
 const BUCKETS: usize = 32;
 
-/// The engine phases instrumented by the core's hot path.
+/// The phases instrumented by the event core's hot path and by the
+/// exhaustive explorers in [`crate::explore`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Pushing a sent message into its channel queue (store push +
@@ -51,17 +53,28 @@ pub enum Phase {
     /// ready/scheduler maintenance, and bulk accounting (batch mode only;
     /// the handler's run dispatch is attributed to `Deliver`).
     Batch,
+    /// Explorer: rewinding a simulation to a frontier snapshot
+    /// (`Simulation::restore`).
+    Restore,
+    /// Explorer: hashing a configuration for deduplication.
+    Fingerprint,
+    /// Explorer: admitting a fingerprint into the visited set (a revisit
+    /// counts too).
+    DedupInsert,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; PHASES] = [
         Phase::Enqueue,
         Phase::Pick,
         Phase::Deliver,
         Phase::Observe,
         Phase::Timer,
         Phase::Batch,
+        Phase::Restore,
+        Phase::Fingerprint,
+        Phase::DedupInsert,
     ];
 
     fn index(self) -> usize {
@@ -72,6 +85,9 @@ impl Phase {
             Phase::Observe => 3,
             Phase::Timer => 4,
             Phase::Batch => 5,
+            Phase::Restore => 6,
+            Phase::Fingerprint => 7,
+            Phase::DedupInsert => 8,
         }
     }
 }
@@ -85,11 +101,14 @@ impl fmt::Display for Phase {
             Phase::Observe => "observe",
             Phase::Timer => "timer",
             Phase::Batch => "batch",
+            Phase::Restore => "restore",
+            Phase::Fingerprint => "fingerprint",
+            Phase::DedupInsert => "dedup-insert",
         })
     }
 }
 
-const PHASES: usize = 6;
+const PHASES: usize = 9;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -111,14 +130,7 @@ impl PhaseCell {
     }
 }
 
-static CELLS: [PhaseCell; PHASES] = [
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-    PhaseCell::new(),
-];
+static CELLS: [PhaseCell; PHASES] = [const { PhaseCell::new() }; PHASES];
 
 /// Whether profiling is currently collecting samples.
 #[inline]
@@ -230,14 +242,14 @@ impl fmt::Display for ProfReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<10} {:>12} {:>14} {:>10} {:>10} {:>10}",
+            "{:<12} {:>12} {:>14} {:>10} {:>10} {:>10}",
             "phase", "samples", "total ms", "mean ns", "p50 ns", "p99 ns"
         )?;
         for phase in Phase::ALL {
             let s = self.phase(phase);
             writeln!(
                 f,
-                "{:<10} {:>12} {:>14.3} {:>10} {:>10} {:>10}",
+                "{:<12} {:>12} {:>14.3} {:>10} {:>10} {:>10}",
                 phase.to_string(),
                 s.count,
                 s.total_ns as f64 / 1e6,

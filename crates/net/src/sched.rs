@@ -53,6 +53,8 @@ pub struct ChannelView {
 pub struct ReadyIndex<K: Ord + Copy> {
     set: BTreeSet<(K, usize)>,
     key_of: Vec<Option<K>>,
+    /// Scratch for [`ReadyIndex::rebuild`]: which channels it just set.
+    keep: Vec<bool>,
 }
 
 impl<K: Ord + Copy> Default for ReadyIndex<K> {
@@ -68,6 +70,7 @@ impl<K: Ord + Copy> ReadyIndex<K> {
         ReadyIndex {
             set: BTreeSet::new(),
             key_of: Vec::new(),
+            keep: Vec::new(),
         }
     }
 
@@ -105,6 +108,33 @@ impl<K: Ord + Copy> ReadyIndex<K> {
     pub fn clear(&mut self) {
         self.set.clear();
         self.key_of.fill(None);
+    }
+
+    /// Makes the index hold exactly `entries`, one `(channel, key)` per
+    /// ready channel.
+    ///
+    /// Unlike [`ReadyIndex::clear`] followed by inserts, entries whose key
+    /// is unchanged stay in place and the set's nodes are reused, so a
+    /// rebuild after a small change (a restore one explorer step away)
+    /// rarely allocates.
+    pub(crate) fn rebuild(&mut self, entries: impl IntoIterator<Item = (usize, K)>) {
+        for (channel, key) in entries {
+            self.insert(channel, key);
+            if self.keep.len() <= channel {
+                self.keep.resize(channel + 1, false);
+            }
+            self.keep[channel] = true;
+        }
+        for (channel, key) in self.key_of.iter_mut().enumerate() {
+            match self.keep.get_mut(channel) {
+                Some(kept) if *kept => *kept = false,
+                _ => {
+                    if let Some(old) = key.take() {
+                        self.set.remove(&(old, channel));
+                    }
+                }
+            }
+        }
     }
 
     /// Number of indexed channels.
@@ -309,10 +339,8 @@ impl Scheduler for FifoScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), v.head_seq);
-        }
+        self.index
+            .rebuild(ready.iter().map(|v| (v.id.index(), v.head_seq)));
     }
 
     fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
@@ -381,11 +409,11 @@ impl Scheduler for SolitudeScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index
-                .insert(v.id.index(), (v.head_seq, dir_rank(v.direction)));
-        }
+        self.index.rebuild(
+            ready
+                .iter()
+                .map(|v| (v.id.index(), (v.head_seq, dir_rank(v.direction)))),
+        );
     }
 
     fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
@@ -439,10 +467,8 @@ impl Scheduler for LifoScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), v.head_seq);
-        }
+        self.index
+            .rebuild(ready.iter().map(|v| (v.id.index(), v.head_seq)));
     }
 }
 
@@ -548,10 +574,7 @@ impl Scheduler for RoundRobinScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), ());
-        }
+        self.index.rebuild(ready.iter().map(|v| (v.id.index(), ())));
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -802,11 +825,11 @@ impl Scheduler for LongestQueueScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index
-                .insert(v.id.index(), (v.queue_len, Reverse(v.head_seq)));
-        }
+        self.index.rebuild(
+            ready
+                .iter()
+                .map(|v| (v.id.index(), (v.queue_len, Reverse(v.head_seq)))),
+        );
     }
 }
 
@@ -864,10 +887,11 @@ impl Scheduler for LatencyScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.index.clear();
-        for v in ready {
-            self.index.insert(v.id.index(), (v.arrival, v.head_seq));
-        }
+        self.index.rebuild(
+            ready
+                .iter()
+                .map(|v| (v.id.index(), (v.arrival, v.head_seq))),
+        );
     }
 
     fn batch_quota(&mut self, picked: ChannelView, run_len: u64) -> u64 {
@@ -1081,10 +1105,8 @@ impl Scheduler for ReplayScheduler {
     }
 
     fn rebuild_index(&mut self, ready: &[ChannelView]) {
-        self.fifo.clear();
-        for v in ready {
-            self.fifo.insert(v.id.index(), v.head_seq);
-        }
+        self.fifo
+            .rebuild(ready.iter().map(|v| (v.id.index(), v.head_seq)));
     }
 
     fn save_state(&self) -> Vec<u64> {
@@ -1717,6 +1739,37 @@ mod tests {
         idx.remove(40);
         idx.clear();
         assert!(idx.is_empty() && idx.first().is_none() && idx.last().is_none());
+    }
+
+    #[test]
+    fn ready_index_rebuild_matches_a_fresh_index() {
+        let targets: [&[(usize, u64)]; 4] = [
+            &[(3, 30), (7, 10), (1, 20)],
+            &[(7, 11), (2, 5), (40, 1)], // re-keys, drops, adds, grows
+            &[],
+            &[
+                (0, 0),
+                (1, 1),
+                (2, 2),
+                (3, 3),
+                (4, 4),
+                (5, 5),
+                (6, 6),
+                (7, 7),
+            ],
+        ];
+        let mut idx: ReadyIndex<u64> = ReadyIndex::new();
+        for target in targets {
+            idx.rebuild(target.iter().copied());
+            let mut fresh: ReadyIndex<u64> = ReadyIndex::new();
+            for &(ch, key) in target {
+                fresh.insert(ch, key);
+            }
+            assert_eq!(idx.set, fresh.set);
+            for ch in 0..48 {
+                assert_eq!(idx.contains(ch), fresh.contains(ch), "channel {ch}");
+            }
+        }
     }
 
     #[test]

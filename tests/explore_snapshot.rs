@@ -1,11 +1,15 @@
 //! Acceptance for the snapshot-based explorer: against the reference
 //! tuple-keyed explorer it must visit the *same* state space in *less*
 //! dedup memory, and under an equal byte budget it must reach strictly
-//! more configurations.
+//! more configurations. Also: the in-place restore the explorer branches
+//! with is indistinguishable from a restore into a fresh simulation.
 
 use content_oblivious::core::{Alg2Node, Role};
 use content_oblivious::net::explore::{explore, explore_reference, ExploreLimits, ExploreState};
-use content_oblivious::net::{Protocol, RingSpec};
+use content_oblivious::net::sched::FifoScheduler;
+use content_oblivious::net::{
+    Budget, ChannelId, Protocol, Pulse, QueueBackend, RingSpec, RunReport, SimStats, Simulation,
+};
 
 type Key = (u64, u64, u64, u64, u64, bool, bool);
 
@@ -150,4 +154,74 @@ fn theorem1_still_checked_through_the_snapshot_explorer() {
         ExploreLimits::default(),
     );
     assert!(!falsified.violations.is_empty());
+}
+
+fn alg2_after(spec: &RingSpec, backend: QueueBackend, steps: usize) -> Simulation<Pulse, Alg2Node> {
+    let mut sim = Simulation::with_backend(
+        spec.wiring(),
+        make_nodes(spec),
+        Box::new(FifoScheduler::new()),
+        backend,
+    );
+    sim.start();
+    for _ in 0..steps {
+        sim.step().expect("the election is still running");
+    }
+    sim
+}
+
+/// What a restored simulation shows: counters, queue lengths, peak queue
+/// bytes and fingerprint, then the FIFO continuation to quiescence.
+type Observed = (SimStats, Vec<usize>, usize, u64, RunReport, SimStats, u64);
+
+fn observe(sim: &mut Simulation<Pulse, Alg2Node>) -> Observed {
+    let stats = sim.stats().clone();
+    let lens = (0..2 * sim.wiring().len())
+        .map(|ch| sim.queue_len(ChannelId::from_index(ch)))
+        .collect();
+    let (peak, fp) = (sim.peak_queue_bytes(), sim.fingerprint());
+    let report = sim.run(Budget::steps(1_000_000));
+    (
+        stats,
+        lens,
+        peak,
+        fp,
+        report,
+        sim.stats().clone(),
+        sim.fingerprint(),
+    )
+}
+
+#[test]
+fn in_place_restore_matches_a_fresh_restore() {
+    let spec = RingSpec::oriented(vec![3, 1, 4, 2, 5]);
+    for backend in QueueBackend::ALL {
+        let snap = alg2_after(&spec, backend, 12).snapshot();
+        let mut fresh = alg2_after(&spec, backend, 0);
+        fresh.restore(&snap);
+        let expected = observe(&mut fresh);
+        assert!(
+            expected.4.steps > 0,
+            "{backend}: snapshot must not be quiescent"
+        );
+
+        // Run further: to quiescence, then an injected burst spread over
+        // every channel (longer run lists, larger counters than the
+        // snapshot's).
+        let mut further = alg2_after(&spec, backend, 0);
+        further.run(Budget::steps(1_000_000));
+        for i in 0..60 {
+            further.inject(ChannelId::from_index(i % 10), Pulse);
+        }
+        // Run less far: a few steps only.
+        let behind = alg2_after(&spec, backend, 3);
+        for (label, mut sim) in [("further", further), ("behind", behind)] {
+            sim.restore(&snap);
+            assert_eq!(
+                observe(&mut sim),
+                expected,
+                "{backend}: restore into {label}"
+            );
+        }
+    }
 }
